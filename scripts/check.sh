@@ -20,6 +20,11 @@ python -m pytest -q tests/core/test_search_budget.py \
     tests/core/test_search_strategies.py tests/core/test_search_equivalence.py
 
 echo
+echo "== Doc2Vec: minibatch trainer vs per-token oracle, Fig. 4 near-copy gate =="
+python -m pytest -q tests/embeddings/test_doc2vec_oracle.py \
+    benchmarks/bench_fig4_instance_cf.py
+
+echo
 echo "== smoke: search-strategy benchmark (beam multi-edit, anytime deadline) =="
 SEARCH_SMOKE=1 python -m pytest -q benchmarks/bench_search_strategies.py
 

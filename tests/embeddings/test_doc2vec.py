@@ -29,11 +29,45 @@ class TestTraining:
     def test_deterministic(self):
         a = train_doc2vec(DOCS, dimension=8, epochs=5, seed=2)
         b = train_doc2vec(DOCS, dimension=8, epochs=5, seed=2)
-        assert np.allclose(a.doc_vectors, b.doc_vectors)
+        assert np.array_equal(a.doc_vectors, b.doc_vectors)
+        assert np.array_equal(a.word_out, b.word_out)
+
+    def test_generator_seed_matches_integer_seed(self):
+        a = train_doc2vec(DOCS, dimension=8, epochs=5, seed=2)
+        b = train_doc2vec(
+            DOCS, dimension=8, epochs=5, seed=np.random.default_rng(2)
+        )
+        assert np.array_equal(a.doc_vectors, b.doc_vectors)
+        assert np.array_equal(a.word_out, b.word_out)
+
+    def test_empty_document_keeps_initial_vector(self):
+        documents = {**DOCS, "blank": []}
+        short = train_doc2vec(documents, dimension=8, epochs=1, seed=2)
+        long = train_doc2vec(documents, dimension=8, epochs=30, seed=2)
+        # The initial vectors are the generator's first draw, so they do
+        # not depend on the epoch count; only trained rows move.
+        assert np.array_equal(long.vector("blank"), short.vector("blank"))
+        assert not np.array_equal(long.vector("covid-a"), short.vector("covid-a"))
+
+    def test_every_document_trains_across_blocks(self):
+        # More tokens than one block, so documents straddle block edges.
+        documents = {
+            f"{name}-{copy}": terms
+            for name, terms in DOCS.items()
+            for copy in range(60)
+        }
+        short = train_doc2vec(documents, dimension=8, epochs=1, seed=2)
+        long = train_doc2vec(documents, dimension=8, epochs=3, seed=2)
+        assert np.isfinite(long.doc_vectors).all()
+        moved = (long.doc_vectors != short.doc_vectors).any(axis=1)
+        assert moved.all()
 
     def test_contains_and_vector(self, model):
         assert "covid-a" in model
+        assert "ghost" not in model
         assert model.vector("covid-a").shape == (24,)
+        for row, doc_id in enumerate(model.doc_ids):
+            assert np.array_equal(model.vector(doc_id), model.doc_vectors[row])
 
     def test_unknown_doc_raises(self, model):
         with pytest.raises(DocumentNotFoundError):
@@ -88,4 +122,10 @@ class TestInference:
     def test_infer_deterministic(self, model):
         a = model.infer_vector(["covid", "outbreak"], epochs=5, seed=7)
         b = model.infer_vector(["covid", "outbreak"], epochs=5, seed=7)
-        assert np.allclose(a, b)
+        assert np.array_equal(a, b)
+
+    def test_infer_leaves_model_frozen(self, model):
+        doc_vectors, word_out = model.doc_vectors.copy(), model.word_out.copy()
+        model.infer_vector("covid outbreak hospital".split() * 200, seed=7)
+        assert np.array_equal(model.doc_vectors, doc_vectors)
+        assert np.array_equal(model.word_out, word_out)

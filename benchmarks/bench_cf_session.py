@@ -24,7 +24,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.document_cf import CounterfactualDocumentExplainer
-from repro.core.greedy import GreedyDocumentExplainer
 from repro.eval.reporting import Table
 from repro.index.document import Document
 from repro.index.inverted import InvertedIndex
@@ -218,7 +217,7 @@ def test_session_speedup(rankers, capsys):
         )
         rows.append(
             _compare(
-                lambda r: GreedyDocumentExplainer(r),
+                lambda r: CounterfactualDocumentExplainer(r, search="greedy"),
                 ranker,
                 DEEP_TARGET,
                 "greedy/grow-prune",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.document_cf import CounterfactualDocumentExplainer
-from repro.core.greedy import GreedyDocumentExplainer
 from repro.eval.reporting import Table
 from repro.index.document import Document
 from repro.index.inverted import InvertedIndex
@@ -74,7 +73,7 @@ def test_extension_greedy_vs_exhaustive(ranker, strategy, capsys, benchmark):
         explainer = CounterfactualDocumentExplainer(ranker, max_evaluations=5000)
         run = lambda: explainer.explain(QUERY, "long-target", n=1, k=K)
     else:
-        explainer = GreedyDocumentExplainer(ranker)
+        explainer = CounterfactualDocumentExplainer(ranker, search="greedy")
         run = lambda: explainer.explain(QUERY, "long-target", k=K)
 
     result = benchmark(run)

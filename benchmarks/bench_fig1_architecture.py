@@ -61,33 +61,28 @@ ENDPOINT_CASES = [
         },
     ),
     (
-        "explain_document",
+        "query_augmentation",
         "POST",
-        "/explanations/document",
-        {"query": DEMO_QUERY, "doc_id": FAKE_NEWS_DOC_ID, "n": 1, "k": K},
-    ),
-    (
-        "explain_query",
-        "POST",
-        "/explanations/query",
+        "/explanations",
         {
             "query": DEMO_QUERY,
             "doc_id": FAKE_NEWS_DOC_ID,
+            "strategy": "query/augmentation",
             "n": 3,
             "k": K,
             "threshold": 2,
         },
     ),
     (
-        "explain_instance",
+        "instance_cosine",
         "POST",
-        "/explanations/instance",
+        "/explanations",
         {
             "query": DEMO_QUERY,
             "doc_id": FAKE_NEWS_DOC_ID,
+            "strategy": "instance/cosine",
             "n": 1,
             "k": K,
-            "method": "cosine_sampled",
             "samples": 30,
         },
     ),

@@ -98,7 +98,7 @@ MIN_FIDELITY = 0.95  # over cells that produced explanations; observed 1.0
 #: size; edit-search strategies must respect the budget and stay minimal.
 FLOOR_FAMILIES = (
     (
-        ("document/greedy", "document/sentence-removal"),
+        ("document/sentence-removal",),
         QualityFloors(
             min_success_rate=0.9, max_mean_size=3.0, max_mean_candidates=BUDGET
         ),
@@ -217,7 +217,7 @@ def test_streaming_ingest_at_scale(capsys):
                     ExplainRequest(
                         instance.query,
                         instance.doc_id,
-                        strategy="document/greedy",
+                        strategy="document/sentence-removal",
                         k=K,
                         search="greedy",
                         budget=BUDGET,
@@ -267,8 +267,8 @@ def test_streaming_ingest_at_scale(capsys):
                 "min_docs_per_second": MIN_DOCS_PER_SECOND,
                 "target_asserted": not SMOKE,
                 "scale_proof": (
-                    f"{len(instances)} document/greedy explanations served "
-                    "from the mmap-attached v3 replica"
+                    f"{len(instances)} greedy document/sentence-removal "
+                    "explanations served from the mmap-attached v3 replica"
                 ),
             },
         )

@@ -53,7 +53,8 @@ JSON_PATH = Path(__file__).with_name("BENCH_process_tier.json")
 
 STRATEGIES = (
     ("document/sentence-removal", {"n": 2}),
-    ("document/greedy", {}),
+    # One explanation per request; each search below runs it once.
+    ("document/sentence-removal", {}),
     ("query/augmentation", {"n": 2, "threshold": 2}),
 )
 
@@ -170,7 +171,9 @@ def test_process_tier_explain_batch(capsys):
             "explain_batch",
             {
                 "items": items,
-                "strategies": [name for name, _ in STRATEGIES],
+                "strategies": [
+                    {"strategy": name, **knobs} for name, knobs in STRATEGIES
+                ],
                 "search_strategies": ["exhaustive", "greedy"],
                 "workers": WORKERS,
                 "sequential_seconds": round(sequential_seconds, 4),

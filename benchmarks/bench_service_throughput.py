@@ -51,7 +51,7 @@ JSON_PATH = Path(__file__).with_name("BENCH_service_throughput.json")
 STRATEGIES = (
     ("document/sentence-removal", {}),
     ("query/augmentation", {"n": 2, "threshold": 2}),
-    ("document/greedy", {}),
+    ("document/sentence-removal", {"search": "greedy"}),
 )
 
 
@@ -142,7 +142,10 @@ def test_service_throughput_at_4_workers(capsys):
                         "items": items,
                         "distinct_items": items // REPEATS,
                         "repeats": REPEATS,
-                        "strategies": [name for name, _ in STRATEGIES],
+                        "strategies": [
+                            {"strategy": name, **knobs}
+                            for name, knobs in STRATEGIES
+                        ],
                         "ranker": "bm25",
                         "k": K,
                     },

@@ -44,10 +44,16 @@ def main() -> None:
     for entry in ranking[:5]:
         print(f"  {entry['rank']}. {entry['doc_id']} ({entry['score']:.3f})")
 
-    print("\nPOST /explanations/document")
+    print("\nPOST /explanations  strategy=document/sentence-removal")
     payload = client.post(
-        "/explanations/document",
-        {"query": DEMO_QUERY, "doc_id": FAKE_NEWS_DOC_ID, "n": 1, "k": 10},
+        "/explanations",
+        {
+            "query": DEMO_QUERY,
+            "doc_id": FAKE_NEWS_DOC_ID,
+            "strategy": "document/sentence-removal",
+            "n": 1,
+            "k": 10,
+        },
     ).payload
     explanation = payload["explanations"][0]
     print(

@@ -108,11 +108,14 @@ echo "== coverage floor: eval + datasets layers (ratcheted) =="
 python scripts/coverage_floor.py
 
 echo
-echo "== docs: doc-sync guard + quickstart smoke on a tiny corpus =="
+echo "== docs: doc-sync guard + quickstart and REST example smokes =="
 python -m pytest -q tests/test_doc_sync.py
 QUICKSTART_RANKER=bm25 QUICKSTART_FILLER=12 \
     python examples/quickstart.py > /dev/null
 echo "quickstart smoke: ok"
+# bm25 server on a loopback ephemeral port, driven over real HTTP.
+python examples/serve_api.py > /dev/null
+echo "serve_api smoke: ok"
 
 echo
 echo "check.sh: all green"

@@ -19,9 +19,9 @@ Quickstart — every explanation family goes through one call::
         print(explanation.to_dict())
 
 Strategies (``engine.available_strategies()``):
-``document/sentence-removal``, ``document/greedy``,
-``query/augmentation``, ``instance/doc2vec``, ``instance/cosine``, and
-``features/ltr`` for feature-based rankers. Batch traffic goes through
+``document/sentence-removal``, ``query/augmentation``,
+``instance/doc2vec``, ``instance/cosine``, and ``features/ltr`` for
+feature-based rankers. Batch traffic goes through
 ``engine.explain_batch([...])``, which shares caches across items and
 reports per-item latency — pass ``parallel=N`` to fan it out across the
 engine's explanation service (``engine.service()``: async jobs, a

@@ -101,47 +101,6 @@ class RankRequest:
         return cls(query=_string_field(data, "query"), k=_int_field(data, "k", 10))
 
 
-@dataclass(frozen=True)
-class DocumentExplanationRequest:
-    query: str
-    doc_id: str
-    n: int
-    k: int
-
-    @classmethod
-    def parse(cls, body: Any) -> "DocumentExplanationRequest":
-        data = _require_mapping(body)
-        return cls(
-            query=_string_field(data, "query"),
-            doc_id=_string_field(data, "doc_id"),
-            n=_int_field(data, "n", 1, maximum=100),
-            k=_int_field(data, "k", 10),
-        )
-
-
-@dataclass(frozen=True)
-class QueryExplanationRequest:
-    query: str
-    doc_id: str
-    n: int
-    k: int
-    threshold: int
-
-    @classmethod
-    def parse(cls, body: Any) -> "QueryExplanationRequest":
-        data = _require_mapping(body)
-        request = cls(
-            query=_string_field(data, "query"),
-            doc_id=_string_field(data, "doc_id"),
-            n=_int_field(data, "n", 1, maximum=100),
-            k=_int_field(data, "k", 10),
-            threshold=_int_field(data, "threshold", 1),
-        )
-        if request.threshold > request.k:
-            raise BadRequestError("'threshold' must be within the top-k")
-        return request
-
-
 def parse_explain_request(body: Any) -> ExplainRequest:
     """Parse the generic ``POST /explanations`` body into an
     :class:`~repro.core.explain.ExplainRequest`.
@@ -150,9 +109,9 @@ def parse_explain_request(body: Any) -> ExplainRequest:
     (so plug-in strategies work without touching this module); this
     parser only enforces field shapes. The *search* strategy, by
     contrast, is a closed set — unknown names are rejected here with a
-    clean 400. Unknown fields are rejected so a typo'd or legacy-shaped
-    body (e.g. ``method``) cannot silently fall back to the default
-    strategy.
+    clean 400. Unknown fields are rejected so a typo'd field (e.g.
+    ``method`` for ``strategy``) cannot silently fall back to the
+    default strategy.
     """
     data = _require_mapping(body)
     known = {
@@ -345,35 +304,6 @@ def parse_index_save(body: Any) -> tuple[str, str]:
             f"'format' must be one of {FORMAT_CHOICES}, got {format!r}"
         )
     return path, format
-
-
-#: Instance-based explanation types exposed in the UI dropdown (§III-B).
-INSTANCE_METHODS = ("doc2vec_nearest", "cosine_sampled")
-
-
-@dataclass(frozen=True)
-class InstanceExplanationRequest:
-    query: str
-    doc_id: str
-    n: int
-    k: int
-    method: str
-    samples: int
-
-    @classmethod
-    def parse(cls, body: Any) -> "InstanceExplanationRequest":
-        data = _require_mapping(body)
-        method = data.get("method", "doc2vec_nearest")
-        if method not in INSTANCE_METHODS:
-            raise BadRequestError(f"'method' must be one of {INSTANCE_METHODS}")
-        return cls(
-            query=_string_field(data, "query"),
-            doc_id=_string_field(data, "doc_id"),
-            n=_int_field(data, "n", 1, maximum=100),
-            k=_int_field(data, "k", 10),
-            method=method,
-            samples=_int_field(data, "samples", 50),
-        )
 
 
 def parse_perturbation(raw: Any) -> Perturbation:

@@ -3,8 +3,9 @@
 Four explanation families over a black-box ranker ``M``, unified behind
 one request/response surface:
 
-* ``document/sentence-removal`` / ``document/greedy`` — minimal sentence
-  removals that push a document out of the top-k (§II-C, Fig. 2).
+* ``document/sentence-removal`` — minimal sentence removals that push a
+  document out of the top-k (§II-C, Fig. 2); ``search="greedy"`` trades
+  minimality for linear cost on long documents.
 * ``query/augmentation`` — minimal query augmentations that raise a
   document above a rank threshold (§II-D, Fig. 3).
 * ``instance/doc2vec`` / ``instance/cosine`` — real non-relevant
@@ -40,7 +41,6 @@ from repro.core.explain import (
     ExplainRequest,
     ExplainResponse,
 )
-from repro.core.greedy import GreedyDocumentExplainer
 from repro.core.importance import (
     TfIdfTermImportance,
     sentence_importance_scores,
@@ -85,7 +85,6 @@ __all__ = [
     "ExplainerRegistry",
     "StrategySpec",
     "available_strategies",
-    "GreedyDocumentExplainer",
     "TfIdfTermImportance",
     "sentence_importance_scores",
     "CosineSampledExplainer",

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import logging
 import threading
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.embeddings.doc2vec import Doc2Vec, train_doc2vec
@@ -31,12 +30,6 @@ from repro.core.explain import ExplainRequest, ExplainResponse
 from repro.core.perturbations import Perturbation
 from repro.core.query_cf import CounterfactualQueryExplainer
 from repro.core.registry import DEFAULT_REGISTRY, ExplainerRegistry
-from repro.core.types import (
-    ExplanationSet,
-    InstanceExplanation,
-    QueryAugmentationExplanation,
-    SentenceRemovalExplanation,
-)
 from repro.obs.trace import span as obs_span
 from repro.topics.lda import train_lda
 from repro.topics.summaries import TopicSummary, summarize_topics
@@ -380,14 +373,12 @@ class CredenceEngine:
                 "pass either an ExplainRequest or keyword fields, not both"
             )
         explainer = self.registry.get(self, request.strategy)
-        with obs_span(
-            "engine/explain", strategy=self.registry.resolve(request.strategy)
-        ) as span:
+        with obs_span("engine/explain", strategy=request.strategy) as span:
             with timed() as elapsed:
-                result = explainer.explain(request)
+                result = explainer(request)
             span.set(explanations=len(result.explanations))
         return ExplainResponse(
-            strategy=self.registry.resolve(request.strategy),
+            strategy=request.strategy,
             query=request.query,
             doc_id=request.doc_id,
             result=result,
@@ -497,73 +488,6 @@ class CredenceEngine:
     def available_strategies(self) -> tuple[str, ...]:
         """Strategy names applicable to this engine's ranker."""
         return self.registry.available_strategies(self)
-
-    # -- the four explanation families (deprecated shims) -------------------------
-
-    def _deprecated(self, old: str, strategy: str) -> None:
-        warnings.warn(
-            f"CredenceEngine.{old}() is deprecated; use "
-            f"engine.explain(ExplainRequest(..., strategy={strategy!r}))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def explain_document(
-        self, query: str, doc_id: str, n: int = 1, k: int = 10
-    ) -> ExplanationSet[SentenceRemovalExplanation]:
-        """Sentence-removal counterfactuals (Fig. 2). Deprecated shim for
-        :meth:`explain` with ``strategy="document/sentence-removal"``."""
-        self._deprecated("explain_document", "document/sentence-removal")
-        return self.explain(
-            ExplainRequest(
-                query, doc_id, strategy="document/sentence-removal", n=n, k=k
-            )
-        ).result
-
-    def explain_query(
-        self, query: str, doc_id: str, n: int = 1, k: int = 10, threshold: int = 1
-    ) -> ExplanationSet[QueryAugmentationExplanation]:
-        """Query-augmentation counterfactuals (Fig. 3). Deprecated shim for
-        :meth:`explain` with ``strategy="query/augmentation"``."""
-        self._deprecated("explain_query", "query/augmentation")
-        return self.explain(
-            ExplainRequest(
-                query,
-                doc_id,
-                strategy="query/augmentation",
-                n=n,
-                k=k,
-                threshold=threshold,
-            )
-        ).result
-
-    def explain_instance_doc2vec(
-        self, query: str, doc_id: str, n: int = 1, k: int = 10
-    ) -> ExplanationSet[InstanceExplanation]:
-        """Doc2Vec Nearest instance counterfactuals (Fig. 4). Deprecated
-        shim for :meth:`explain` with ``strategy="instance/doc2vec"``."""
-        self._deprecated("explain_instance_doc2vec", "instance/doc2vec")
-        return self.explain(
-            ExplainRequest(query, doc_id, strategy="instance/doc2vec", n=n, k=k)
-        ).result
-
-    def explain_instance_cosine(
-        self, query: str, doc_id: str, n: int = 1, k: int = 10, samples: int = 50
-    ) -> ExplanationSet[InstanceExplanation]:
-        """Cosine Sampled instance counterfactuals (Fig. 4 variant).
-        Deprecated shim for :meth:`explain` with
-        ``strategy="instance/cosine"``."""
-        self._deprecated("explain_instance_cosine", "instance/cosine")
-        return self.explain(
-            ExplainRequest(
-                query,
-                doc_id,
-                strategy="instance/cosine",
-                n=n,
-                k=k,
-                samples=samples,
-            )
-        ).result
 
     def build_counterfactual(
         self,

@@ -12,8 +12,8 @@ surface:
   ``"document/sentence-removal"``), and the per-family knobs
   (``n``/``k``/``threshold``/``samples`` plus an open ``extra``
   mapping for strategy-specific parameters).
-* :class:`Explainer` — the protocol every strategy implements:
-  ``explain(request) -> ExplanationSet``.
+* :data:`Explainer` — what every strategy is: a callable
+  ``request -> ExplanationSet``.
 * :class:`ExplainResponse` — a strategy-tagged envelope around the
   :class:`~repro.core.types.ExplanationSet`, with wall-clock timing so
   batch callers can measure amortised throughput, and an optional
@@ -28,7 +28,7 @@ Strategy names are resolved through
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Mapping, Protocol, runtime_checkable
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.core.search import DEFAULT_BEAM_WIDTH
 from repro.core.types import ExplanationSet
@@ -152,19 +152,12 @@ class ExplainRequest:
         return cls(**dict(data))
 
 
-@runtime_checkable
-class Explainer(Protocol):
-    """What every explanation strategy implements.
-
-    Concrete explainers are built lazily per engine by the registry
-    (see :class:`repro.core.registry.ExplainerRegistry`) and then
-    memoised, so heavyweight state (a Doc2Vec model, BM25 vectors)
-    is constructed once and reused across requests.
-    """
-
-    strategy: str
-
-    def explain(self, request: ExplainRequest) -> ExplanationSet: ...
+#: What every explanation strategy is: a callable answering one request.
+#: The registry builds one lazily per engine (see
+#: :class:`repro.core.registry.ExplainerRegistry`) and memoises it, so
+#: heavyweight state (a Doc2Vec model, BM25 vectors) is constructed once
+#: and reused across requests.
+Explainer = Callable[[ExplainRequest], ExplanationSet]
 
 
 @dataclass

@@ -7,17 +7,15 @@ Strategies are registered by name with a decorator::
         description="minimal sentence removals demoting the document",
     )
     def _build(engine):
-        return _BoundExplainer(
-            "document/sentence-removal",
-            lambda r: engine.document_explainer.explain(
-                r.query, r.doc_id, n=r.n, k=r.k
-            ),
-        )
+        explainer = engine.document_explainer
+        return lambda r: explainer.explain(r.query, r.doc_id, n=r.n, k=r.k)
 
-and constructed *lazily, once per engine*: the first request for a
-strategy runs its factory (which may train a Doc2Vec model or build a
-vectorizer) and the instance is memoised against the engine, so repeated
-requests — and every item of a batch — reuse the same heavy state.
+A factory returns the strategy's :data:`~repro.core.explain.Explainer`:
+a plain ``ExplainRequest -> ExplanationSet`` callable. Factories run
+*lazily, once per engine*: the first request for a strategy runs its
+factory (which may train a Doc2Vec model or build a vectorizer) and the
+callable is memoised against the engine, so repeated requests — and
+every item of a batch — reuse the same heavy state.
 
 A strategy may declare an availability predicate; ``features/ltr`` for
 example only applies when the engine's ranker is an
@@ -35,7 +33,6 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.explain import Explainer, ExplainRequest
 from repro.core.search import search_overrides
-from repro.core.types import ExplanationSet
 from repro.errors import (
     ConfigurationError,
     StrategyUnavailableError,
@@ -44,13 +41,6 @@ from repro.errors import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.core.engine import CredenceEngine
-
-#: Legacy spellings accepted wherever a strategy name is expected
-#: (the pre-redesign REST ``method`` field and engine method names).
-STRATEGY_ALIASES = {
-    "doc2vec_nearest": "instance/doc2vec",
-    "cosine_sampled": "instance/cosine",
-}
 
 
 @dataclass(frozen=True)
@@ -118,15 +108,12 @@ class ExplainerRegistry:
         """Every registered strategy name, sorted."""
         return tuple(sorted(self._specs))
 
-    def resolve(self, name: str) -> str:
-        """Canonicalise ``name`` (legacy aliases), raising on unknown."""
-        canonical = STRATEGY_ALIASES.get(name, name)
-        if canonical not in self._specs:
-            raise UnknownStrategyError(name, self.names())
-        return canonical
-
     def spec(self, name: str) -> StrategySpec:
-        return self._specs[self.resolve(name)]
+        """The registered spec for ``name``, raising on unknown."""
+        spec = self._specs.get(name)
+        if spec is None:
+            raise UnknownStrategyError(name, self.names())
+        return spec
 
     def available_strategies(
         self, engine: "CredenceEngine | None" = None
@@ -163,26 +150,25 @@ class ExplainerRegistry:
         strategy) build exactly one instance, and building it never
         blocks requests for other strategies or engines.
         """
-        canonical = self.resolve(name)
-        key = (id(engine), canonical)
+        spec = self.spec(name)
+        key = (id(engine), name)
         with self._cache_lock:
             cache = self._instances.setdefault(engine, {})
-            existing = cache.get(canonical)
+            existing = cache.get(name)
             if existing is not None:
                 return existing
             key_lock = self._key_locks.setdefault(key, threading.Lock())
         with key_lock:
             with self._cache_lock:
-                existing = cache.get(canonical)
+                existing = cache.get(name)
                 if existing is not None:  # another thread built it
                     return existing
-            spec = self._specs[canonical]
             reason = spec.unavailable_reason(engine)
             if reason is not None:
-                raise StrategyUnavailableError(canonical, reason)
+                raise StrategyUnavailableError(name, reason)
             instance = spec.factory(engine)
             with self._cache_lock:
-                cache[canonical] = instance
+                cache[name] = instance
                 self._key_locks.pop(key, None)  # published; lock not needed
             return instance
 
@@ -190,9 +176,8 @@ class ExplainerRegistry:
 def _search_kwargs(request: ExplainRequest) -> dict:
     """Per-request search overrides as explainer keyword arguments.
 
-    A request naming no search options yields ``{}``, so the bound
-    explainer runs its family default — byte-identical to the
-    pre-kernel dispatch.
+    A request naming no search options yields ``{}``, so the family
+    explainer runs its default search.
     """
     search, budget = search_overrides(request)
     kwargs = {}
@@ -203,27 +188,12 @@ def _search_kwargs(request: ExplainRequest) -> dict:
     return kwargs
 
 
-@dataclass(frozen=True)
-class _BoundExplainer:
-    """Adapts a legacy per-family ``explain(...)`` signature to the
-    uniform :class:`~repro.core.explain.Explainer` protocol."""
-
-    strategy: str
-    run: Callable[[ExplainRequest], ExplanationSet]
-
-    def explain(self, request: ExplainRequest) -> ExplanationSet:
-        return self.run(request)
-
-
 def ltr_ranker_of(engine: "CredenceEngine"):
-    """The engine's :class:`~repro.ltr.ranker.LtrRanker`, unwrapping the
-    score cache, or ``None`` when the active ranker is not feature-based."""
+    """The engine's :class:`~repro.ltr.ranker.LtrRanker` under any score
+    cache, or ``None`` when the active ranker is not feature-based."""
     from repro.ltr.ranker import LtrRanker
-    from repro.ranking.cache import ScoreCache
 
-    ranker = engine.ranker
-    if isinstance(ranker, ScoreCache):
-        ranker = ranker.inner
+    ranker = engine.ranker.base
     return ranker if isinstance(ranker, LtrRanker) else None
 
 
@@ -250,30 +220,8 @@ def _document_sentence_removal(engine: "CredenceEngine") -> Explainer:
     # registry's WeakKeyDictionary *values*, so capturing the engine (the
     # key) would strongly reference it and pin it for process lifetime.
     explainer = engine.document_explainer
-    return _BoundExplainer(
-        "document/sentence-removal",
-        lambda r: explainer.explain(
-            r.query, r.doc_id, n=r.n, k=r.k, **_search_kwargs(r)
-        ),
-    )
-
-
-@DEFAULT_REGISTRY.register(
-    "document/greedy",
-    description=(
-        "grow-then-prune sentence removals for long documents "
-        "(subset-minimal, single explanation)"
-    ),
-)
-def _document_greedy(engine: "CredenceEngine") -> Explainer:
-    from repro.core.greedy import GreedyDocumentExplainer
-
-    explainer = GreedyDocumentExplainer(engine.ranker)
-    return _BoundExplainer(
-        "document/greedy",
-        lambda r: explainer.explain(
-            r.query, r.doc_id, n=r.n, k=r.k, **_search_kwargs(r)
-        ),
+    return lambda r: explainer.explain(
+        r.query, r.doc_id, n=r.n, k=r.k, **_search_kwargs(r)
     )
 
 
@@ -286,16 +234,13 @@ def _document_greedy(engine: "CredenceEngine") -> Explainer:
 )
 def _query_augmentation(engine: "CredenceEngine") -> Explainer:
     explainer = engine.query_explainer  # not `engine` — see sentence-removal
-    return _BoundExplainer(
-        "query/augmentation",
-        lambda r: explainer.explain(
-            r.query,
-            r.doc_id,
-            n=r.n,
-            k=r.k,
-            threshold=r.threshold,
-            **_search_kwargs(r),
-        ),
+    return lambda r: explainer.explain(
+        r.query,
+        r.doc_id,
+        n=r.n,
+        k=r.k,
+        threshold=r.threshold,
+        **_search_kwargs(r),
     )
 
 
@@ -313,11 +258,8 @@ def _instance_doc2vec(engine: "CredenceEngine") -> Explainer:
     # the engine's version-keyed doc2vec property per request, so corpus
     # mutations retrain instead of pinning a stale embedding space.
     explainer = Doc2VecNearestExplainer(engine.ranker, lambda: engine.doc2vec)
-    return _BoundExplainer(
-        "instance/doc2vec",
-        lambda r: explainer.explain(
-            r.query, r.doc_id, n=r.n, k=r.k, **_search_kwargs(r)
-        ),
+    return lambda r: explainer.explain(
+        r.query, r.doc_id, n=r.n, k=r.k, **_search_kwargs(r)
     )
 
 
@@ -334,12 +276,9 @@ def _instance_cosine(engine: "CredenceEngine") -> Explainer:
     explainer = CosineSampledExplainer(
         engine.ranker, engine.bm25_vectorizer, seed=engine.config.seed
     )
-    return _BoundExplainer(
-        "instance/cosine",
-        lambda r: explainer.explain(
-            r.query, r.doc_id, n=r.n, k=r.k, samples=r.samples,
-            **_search_kwargs(r),
-        ),
+    return lambda r: explainer.explain(
+        r.query, r.doc_id, n=r.n, k=r.k, samples=r.samples,
+        **_search_kwargs(r),
     )
 
 
@@ -355,11 +294,8 @@ def _features_ltr(engine: "CredenceEngine") -> Explainer:
     from repro.ltr.feature_cf import FeatureCounterfactualExplainer
 
     explainer = FeatureCounterfactualExplainer(ltr_ranker_of(engine))
-    return _BoundExplainer(
-        "features/ltr",
-        lambda r: explainer.explain(
-            r.query, r.doc_id, n=r.n, k=r.k, **_search_kwargs(r)
-        ),
+    return lambda r: explainer.explain(
+        r.query, r.doc_id, n=r.n, k=r.k, **_search_kwargs(r)
     )
 
 

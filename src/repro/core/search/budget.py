@@ -81,8 +81,8 @@ class SearchBudget:
         )
 
 
-#: The "no bounds" budget used where the legacy explainers had none
-#: (greedy grow-and-prune, instance selection).
+#: The "no bounds" budget: the strategies' default, and what instance
+#: selection runs under.
 UNLIMITED = SearchBudget()
 
 

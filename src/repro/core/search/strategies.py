@@ -6,8 +6,7 @@ Four ways to explore one candidate space:
   enumeration (§II-C/§II-D). Guarantees the first valid counterfactual
   found is minimal; byte-identical to the pre-kernel explainer loops.
 * :class:`GreedySearch` — grow-then-prune (subset-minimal, one
-  explanation, at most ``2·m`` evaluations); subsumes the old
-  ``GreedyDocumentExplainer`` loop and now works for every family.
+  explanation, at most ``2·m`` evaluations); works for every family.
 * :class:`BeamSearch` — width-``b`` frontier over multi-edit
   combinations, ordered by the problem's ``progress`` signal. Finds
   multi-edit counterfactuals without the combinatorial cost of

@@ -51,15 +51,6 @@ class FidelityCheck:
         return self.valid
 
 
-def _base_ranker(engine):
-    """The engine's ranker with any :class:`ScoreCache` unwrapped, so the
-    recheck re-scores through the model itself rather than the cache."""
-    from repro.ranking.cache import ScoreCache
-
-    ranker = engine.ranker
-    return ranker.inner if isinstance(ranker, ScoreCache) else ranker
-
-
 def _naive_pool_ranking(ranker, query: str, documents) -> Ranking:
     """Re-rank ``documents`` for ``query`` by scoring each one afresh.
 
@@ -72,7 +63,7 @@ def _naive_pool_ranking(ranker, query: str, documents) -> Ranking:
 
 
 def _recheck_body_substitution(engine, explanation, perturbed_body: str) -> FidelityCheck:
-    ranker = _base_ranker(engine)
+    ranker = engine.ranker.base  # re-score through the model, not the cache
     pool = candidate_pool(ranker, explanation.query, explanation.k)
     substituted = [
         document.with_body(perturbed_body)
@@ -98,7 +89,7 @@ def _recheck_query_augmentation(engine, explanation, k: int) -> FidelityCheck:
     baseline = engine.rank(explanation.original_query, k=k)
     pool = [engine.index.document(doc_id) for doc_id in baseline.doc_ids]
     reranked = _naive_pool_ranking(
-        _base_ranker(engine), explanation.augmented_query, pool
+        engine.ranker.base, explanation.augmented_query, pool
     )
     new_rank = reranked.rank_of(explanation.doc_id)
     valid = new_rank is not None and meets_threshold(

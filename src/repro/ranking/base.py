@@ -130,6 +130,12 @@ class Ranker(ABC):
     def name(self) -> str:
         return type(self).__name__
 
+    @property
+    def base(self) -> "Ranker":
+        """The model itself, beneath any score cache (see
+        :class:`~repro.ranking.cache.ScoreCache`)."""
+        return self
+
     @abstractmethod
     def rank(self, query: str, k: int) -> Ranking:
         """Return the top-``k`` ranking ``D_M`` for ``query``."""

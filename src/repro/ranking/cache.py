@@ -90,6 +90,10 @@ class ScoreCache(Ranker):
     def name(self) -> str:
         return f"Cached({self.inner.name})"
 
+    @property
+    def base(self) -> Ranker:
+        return self.inner.base
+
     def rank(self, query: str, k: int) -> Ranking:
         return self.inner.rank(query, k)
 

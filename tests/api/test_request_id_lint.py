@@ -94,24 +94,6 @@ SAMPLE_REQUESTS: dict[tuple[str, str], Request] = {
         ),
         (
             "POST",
-            "^/explanations/document$",
-            "/explanations/document",
-            dict(_EXPLAIN),
-        ),
-        (
-            "POST",
-            "^/explanations/query$",
-            "/explanations/query",
-            {**_EXPLAIN, "threshold": 2},
-        ),
-        (
-            "POST",
-            "^/explanations/instance$",
-            "/explanations/instance",
-            {**_EXPLAIN, "samples": 5},
-        ),
-        (
-            "POST",
             "^/builder/rerank$",
             "/builder/rerank",
             {"query": QUERY, "doc_id": DOC, "k": 4},

@@ -4,13 +4,12 @@ import pytest
 
 from repro.api.schemas import (
     BuilderRequest,
-    DocumentExplanationRequest,
-    InstanceExplanationRequest,
-    QueryExplanationRequest,
     RankRequest,
     TopicsRequest,
+    parse_explain_request,
     parse_perturbation,
 )
+from repro.core.explain import DEFAULT_STRATEGY
 from repro.core.perturbations import RemoveSentences, RemoveTerm, ReplaceTerm
 from repro.errors import BadRequestError
 
@@ -37,35 +36,27 @@ class TestRankRequest:
             RankRequest.parse({"query": "q", "k": 0})
 
 
-class TestExplanationRequests:
-    def test_document_request(self):
-        request = DocumentExplanationRequest.parse(
+class TestExplainRequestParsing:
+    def test_parses_fields(self):
+        request = parse_explain_request(
             {"query": "q", "doc_id": "d", "n": 2, "k": 5}
         )
         assert (request.n, request.k) == (2, 5)
 
-    def test_document_request_caps_n(self):
+    def test_caps_n(self):
         with pytest.raises(BadRequestError):
-            DocumentExplanationRequest.parse(
-                {"query": "q", "doc_id": "d", "n": 101}
-            )
+            parse_explain_request({"query": "q", "doc_id": "d", "n": 101})
 
-    def test_query_request_threshold_within_k(self):
-        with pytest.raises(BadRequestError, match="threshold"):
-            QueryExplanationRequest.parse(
-                {"query": "q", "doc_id": "d", "k": 5, "threshold": 6}
-            )
-
-    def test_instance_request_method_validated(self):
+    def test_method_field_rejected(self):
         with pytest.raises(BadRequestError, match="method"):
-            InstanceExplanationRequest.parse(
-                {"query": "q", "doc_id": "d", "method": "magic"}
+            parse_explain_request(
+                {"query": "q", "doc_id": "d", "method": "cosine_sampled"}
             )
 
-    def test_instance_request_defaults(self):
-        request = InstanceExplanationRequest.parse({"query": "q", "doc_id": "d"})
-        assert request.method == "doc2vec_nearest"
-        assert request.samples == 50
+    def test_defaults(self):
+        request = parse_explain_request({"query": "q", "doc_id": "d"})
+        assert request.strategy == DEFAULT_STRATEGY
+        assert (request.threshold, request.samples) == (1, 50)
 
 
 class TestPerturbationParsing:

@@ -44,6 +44,9 @@ class TestLiveServer:
 
     def test_not_found_over_http(self, live):
         assert live.get("/missing/route").status == 404
+        body = {"query": QUERY, "doc_id": FAKE_NEWS_DOC_ID}
+        for family in ("document", "query", "instance"):
+            assert live.post(f"/explanations/{family}", body).status == 404
 
     def test_builder_over_http(self, live):
         response = live.post(

@@ -1,6 +1,5 @@
-"""Integration tests for the unified explanation routes:
-``POST /explanations``, ``POST /explanations/batch``, ``GET /strategies``,
-and legacy-route equivalence."""
+"""Integration tests for the explanation routes: ``POST /explanations``,
+``POST /explanations/batch`` and ``GET /strategies``."""
 
 import pytest
 
@@ -47,7 +46,6 @@ class TestUnifiedExplanations:
         "strategy",
         [
             "document/sentence-removal",
-            "document/greedy",
             "query/augmentation",
             "instance/doc2vec",
             "instance/cosine",
@@ -91,10 +89,13 @@ class TestUnifiedExplanations:
         for explanation in response.payload["explanations"]:
             assert explanation["counterfactual_body"]
 
-    def test_unknown_strategy_400(self, client):
+    @pytest.mark.parametrize(
+        "strategy", ["magic", "doc2vec_nearest", "cosine_sampled"]
+    )
+    def test_unknown_strategy_400(self, client, strategy):
         response = client.post(
             "/explanations",
-            {"query": QUERY, "doc_id": FAKE_NEWS_DOC_ID, "strategy": "magic"},
+            {"query": QUERY, "doc_id": FAKE_NEWS_DOC_ID, "strategy": strategy},
         )
         assert response.status == 400
         assert "unknown explanation strategy" in response.payload["detail"]
@@ -111,6 +112,20 @@ class TestUnifiedExplanations:
         assert response.status == 400
         assert "unavailable" in response.payload["detail"]
 
+    def test_threshold_beyond_k_400(self, client):
+        response = client.post(
+            "/explanations",
+            {
+                "query": QUERY,
+                "doc_id": FAKE_NEWS_DOC_ID,
+                "strategy": "query/augmentation",
+                "k": 5,
+                "threshold": 6,
+            },
+        )
+        assert response.status == 400
+        assert "threshold" in response.payload["detail"]
+
     def test_unranked_document_400(self, client):
         response = client.post(
             "/explanations", {"query": QUERY, "doc_id": "markets-0002"}
@@ -118,8 +133,8 @@ class TestUnifiedExplanations:
         assert response.status == 400
 
     def test_unknown_field_rejected_not_ignored(self, client):
-        # The legacy instance-route shape must not silently run the
-        # default strategy on the unified route.
+        # A ``method`` field (not ``strategy``) must not silently run
+        # the default strategy.
         response = client.post(
             "/explanations",
             {
@@ -191,49 +206,6 @@ class TestBatchEndpoint:
             "/explanations/batch", {"requests": [item] * 101}
         )
         assert response.status == 400
-
-
-class TestLegacyRouteEquivalence:
-    def test_document_route_matches_unified(self, client):
-        legacy = client.post(
-            "/explanations/document",
-            {"query": QUERY, "doc_id": FAKE_NEWS_DOC_ID, "n": 1, "k": 10},
-        )
-        unified = client.post(
-            "/explanations",
-            {
-                "query": QUERY,
-                "doc_id": FAKE_NEWS_DOC_ID,
-                "strategy": "document/sentence-removal",
-                "n": 1,
-                "k": 10,
-            },
-        )
-        assert legacy.status == unified.status == 200
-        assert legacy.payload["explanations"] == unified.payload["explanations"]
-
-    def test_instance_route_accepts_legacy_method_names(self, client):
-        legacy = client.post(
-            "/explanations/instance",
-            {
-                "query": QUERY,
-                "doc_id": FAKE_NEWS_DOC_ID,
-                "method": "cosine_sampled",
-                "samples": 30,
-            },
-        )
-        unified = client.post(
-            "/explanations",
-            {
-                "query": QUERY,
-                "doc_id": FAKE_NEWS_DOC_ID,
-                "strategy": "cosine_sampled",
-                "samples": 30,
-            },
-        )
-        assert legacy.status == unified.status == 200
-        assert unified.payload["strategy"] == "instance/cosine"
-        assert legacy.payload["explanations"] == unified.payload["explanations"]
 
 
 class TestSearchOptions:

@@ -1,15 +1,9 @@
-"""Tests for the unified explanation API: ExplainRequest/Response,
-engine.explain, explain_batch, memoization, and the deprecation shims."""
-
-import warnings
+"""Tests for the explanation API: ExplainRequest/Response,
+engine.explain, explain_batch and memoization."""
 
 import pytest
 
-from repro.core.explain import (
-    DEFAULT_STRATEGY,
-    ExplainRequest,
-    ExplainResponse,
-)
+from repro.core.explain import DEFAULT_STRATEGY, ExplainRequest
 from repro.datasets.covid import FAKE_NEWS_DOC_ID
 from repro.errors import (
     ConfigurationError,
@@ -74,7 +68,6 @@ class TestEngineExplain:
         "strategy",
         [
             "document/sentence-removal",
-            "document/greedy",
             "query/augmentation",
             "instance/doc2vec",
             "instance/cosine",
@@ -103,18 +96,14 @@ class TestEngineExplain:
                 ExplainRequest(QUERY, FAKE_NEWS_DOC_ID), n=2
             )
 
-    def test_unknown_strategy_raises(self, bm25_engine):
+    @pytest.mark.parametrize(
+        "strategy", ["magic/crystal", "doc2vec_nearest", "cosine_sampled"]
+    )
+    def test_unknown_strategy_raises(self, bm25_engine, strategy):
         with pytest.raises(UnknownStrategyError, match="registered:"):
             bm25_engine.explain(
-                ExplainRequest(QUERY, FAKE_NEWS_DOC_ID, strategy="magic/crystal")
+                ExplainRequest(QUERY, FAKE_NEWS_DOC_ID, strategy=strategy)
             )
-
-    def test_legacy_alias_accepted(self, bm25_engine):
-        response = bm25_engine.explain(
-            ExplainRequest(QUERY, FAKE_NEWS_DOC_ID, strategy="cosine_sampled",
-                           samples=30)
-        )
-        assert response.strategy == "instance/cosine"
 
     def test_ltr_strategy_unavailable_on_lexical_ranker(self, bm25_engine):
         with pytest.raises(StrategyUnavailableError):
@@ -203,49 +192,3 @@ class TestMemoization:
         assert first is second
         # and it holds the engine's lazily-trained (cached) model
         assert bm25_engine.doc2vec is bm25_engine.doc2vec
-
-
-class TestDeprecatedShims:
-    def test_shims_warn_and_match_unified_results(self, bm25_engine):
-        cases = [
-            (
-                lambda: bm25_engine.explain_document(QUERY, FAKE_NEWS_DOC_ID),
-                ExplainRequest(QUERY, FAKE_NEWS_DOC_ID,
-                               strategy="document/sentence-removal"),
-            ),
-            (
-                lambda: bm25_engine.explain_query(
-                    QUERY, FAKE_NEWS_DOC_ID, n=2, threshold=2
-                ),
-                ExplainRequest(QUERY, FAKE_NEWS_DOC_ID,
-                               strategy="query/augmentation", n=2, threshold=2),
-            ),
-            (
-                lambda: bm25_engine.explain_instance_doc2vec(
-                    QUERY, FAKE_NEWS_DOC_ID
-                ),
-                ExplainRequest(QUERY, FAKE_NEWS_DOC_ID,
-                               strategy="instance/doc2vec"),
-            ),
-            (
-                lambda: bm25_engine.explain_instance_cosine(
-                    QUERY, FAKE_NEWS_DOC_ID, samples=30
-                ),
-                ExplainRequest(QUERY, FAKE_NEWS_DOC_ID,
-                               strategy="instance/cosine", samples=30),
-            ),
-        ]
-        for legacy_call, request in cases:
-            with pytest.deprecated_call():
-                legacy = legacy_call()
-            unified = bm25_engine.explain(request)
-            assert [e.to_dict() for e in legacy] == [
-                e.to_dict() for e in unified.result
-            ]
-
-    def test_shim_returns_explanation_set(self, bm25_engine):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = bm25_engine.explain_document(QUERY, FAKE_NEWS_DOC_ID)
-        assert hasattr(result, "candidates_evaluated")
-        assert not isinstance(result, ExplainResponse)

@@ -1,9 +1,9 @@
-"""Tests for the greedy-and-prune counterfactual search."""
+"""Tests for greedy grow-and-prune sentence removal: the
+``document/sentence-removal`` strategy with ``search="greedy"``."""
 
 import pytest
 
 from repro.core.document_cf import CounterfactualDocumentExplainer
-from repro.core.greedy import GreedyDocumentExplainer
 from repro.datasets.covid import FAKE_NEWS_DOC_ID
 from repro.errors import RankingError
 from repro.index.document import Document
@@ -20,9 +20,13 @@ def ranker():
     return Bm25Ranker(InvertedIndex.from_documents(covid_corpus()))
 
 
+def _greedy(ranker):
+    return CounterfactualDocumentExplainer(ranker, search="greedy")
+
+
 @pytest.fixture(scope="module")
 def greedy(ranker):
-    return GreedyDocumentExplainer(ranker)
+    return _greedy(ranker)
 
 
 class TestGreedyValidity:
@@ -48,11 +52,25 @@ class TestGreedyValidity:
                 QUERY, FAKE_NEWS_DOC_ID, removed - {index}, k=10
             ), "a pruned-superset survived: prune phase failed"
 
-    def test_matches_exhaustive_on_demo_instance(self, greedy):
-        greedy_size, exhaustive_size = greedy.verify_against_exhaustive(
-            QUERY, FAKE_NEWS_DOC_ID, k=10
+    def test_matches_exhaustive_on_demo_instance(self, greedy, ranker):
+        found = greedy.explain(QUERY, FAKE_NEWS_DOC_ID, k=10)
+        minimum = CounterfactualDocumentExplainer(ranker).explain(
+            QUERY, FAKE_NEWS_DOC_ID, n=1, k=10
         )
-        assert greedy_size == exhaustive_size == 2
+        assert found.search_strategy == "greedy"
+        assert found[0].size == minimum[0].size == 2
+
+    def test_unified_request_matches_explainer(self, greedy, bm25_engine):
+        from repro.core.explain import ExplainRequest
+
+        response = bm25_engine.explain(
+            ExplainRequest(QUERY, FAKE_NEWS_DOC_ID, k=10, search="greedy")
+        )
+        assert response.strategy == "document/sentence-removal"
+        assert response.result.search_strategy == "greedy"
+        assert [e.to_dict() for e in response] == [
+            e.to_dict() for e in greedy.explain(QUERY, FAKE_NEWS_DOC_ID, k=10)
+        ]
 
     def test_cost_is_linear_not_combinatorial(self, greedy):
         result = greedy.explain(QUERY, FAKE_NEWS_DOC_ID, k=10)
@@ -74,7 +92,7 @@ class TestGreedyEdgeCases:
             Document("other-2", "covid outbreak report tonight."),
         ]
         ranker = Bm25Ranker(InvertedIndex.from_documents(documents))
-        greedy = GreedyDocumentExplainer(ranker)
+        greedy = _greedy(ranker)
         ranking = ranker.rank(QUERY, 2)
         target = ranking.doc_ids[0]
         result = greedy.explain(QUERY, target, k=2)
@@ -88,6 +106,6 @@ class TestGreedyEdgeCases:
             Document("third", "unrelated text entirely."),
         ]
         ranker = Bm25Ranker(InvertedIndex.from_documents(documents))
-        result = GreedyDocumentExplainer(ranker).explain(QUERY, "short", k=2)
+        result = _greedy(ranker).explain(QUERY, "short", k=2)
         assert len(result) == 0
         assert result.search_exhausted

@@ -19,7 +19,6 @@ from repro.errors import (
 
 EXPECTED_BUILTINS = {
     "document/sentence-removal",
-    "document/greedy",
     "query/augmentation",
     "instance/doc2vec",
     "instance/cosine",
@@ -27,11 +26,9 @@ EXPECTED_BUILTINS = {
 }
 
 
-class _NullExplainer:
-    strategy = "test/null"
-
-    def explain(self, request: ExplainRequest) -> ExplanationSet:
-        return ExplanationSet()
+def _null_factory(engine):
+    """A fresh explainer per call, answering every request with nothing."""
+    return lambda request: ExplanationSet()
 
 
 class TestDefaultRegistry:
@@ -42,13 +39,9 @@ class TestDefaultRegistry:
         names = DEFAULT_REGISTRY.names()
         assert list(names) == sorted(names)
 
-    def test_resolve_alias(self):
-        assert DEFAULT_REGISTRY.resolve("doc2vec_nearest") == "instance/doc2vec"
-        assert DEFAULT_REGISTRY.resolve("cosine_sampled") == "instance/cosine"
-
-    def test_resolve_unknown_raises_with_known_list(self):
+    def test_unknown_raises_with_known_list(self):
         with pytest.raises(UnknownStrategyError) as excinfo:
-            DEFAULT_REGISTRY.resolve("document/nope")
+            DEFAULT_REGISTRY.spec("document/nope")
         assert excinfo.value.strategy == "document/nope"
         assert "document/sentence-removal" in excinfo.value.known
 
@@ -76,17 +69,18 @@ class TestCustomRegistry:
 
         @registry.register("test/null", description="does nothing")
         def _build(engine):
-            return _NullExplainer()
+            return _null_factory(engine)
 
         assert registry.names() == ("test/null",)
         explainer = registry.get(bm25_engine, "test/null")
-        assert explainer.strategy == "test/null"
+        result = explainer(ExplainRequest("q", "d", strategy="test/null"))
+        assert len(result) == 0
 
     def test_duplicate_registration_rejected(self):
         registry = ExplainerRegistry()
-        registry.register("test/null")(lambda engine: _NullExplainer())
+        registry.register("test/null")(_null_factory)
         with pytest.raises(ConfigurationError, match="already registered"):
-            registry.register("test/null")(lambda engine: _NullExplainer())
+            registry.register("test/null")(_null_factory)
 
     def test_empty_name_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -99,7 +93,7 @@ class TestCustomRegistry:
         @registry.register("test/null")
         def _build(engine):
             calls.append(engine)
-            return _NullExplainer()
+            return _null_factory(engine)
 
         first = registry.get(bm25_engine, "test/null")
         second = registry.get(bm25_engine, "test/null")
@@ -108,7 +102,7 @@ class TestCustomRegistry:
 
     def test_distinct_engines_get_distinct_instances(self, covid_documents):
         registry = ExplainerRegistry()
-        registry.register("test/null")(lambda engine: _NullExplainer())
+        registry.register("test/null")(_null_factory)
         engine_a = CredenceEngine(
             covid_documents, EngineConfig(ranker="bm25", seed=5)
         )
@@ -122,7 +116,7 @@ class TestCustomRegistry:
     def test_availability_predicate_gates_get(self, bm25_engine):
         registry = ExplainerRegistry()
         registry.register("test/never", available=lambda engine: "not today")(
-            lambda engine: _NullExplainer()
+            _null_factory
         )
         assert registry.available_strategies(bm25_engine) == ()
         assert registry.available_strategies() == ("test/never",)
@@ -131,7 +125,7 @@ class TestCustomRegistry:
 
     def test_engine_uses_injected_registry(self, covid_documents):
         registry = ExplainerRegistry()
-        registry.register("test/null")(lambda engine: _NullExplainer())
+        registry.register("test/null")(_null_factory)
         engine = CredenceEngine(
             covid_documents,
             EngineConfig(ranker="bm25", seed=5),
@@ -155,11 +149,7 @@ class TestNoEngineRetention:
         # Strategies whose explainers live on the engine are the risky
         # ones: a factory closure capturing the engine would make the
         # registry's weak-keyed cache hold its own key alive.
-        for strategy in (
-            "document/sentence-removal",
-            "document/greedy",
-            "query/augmentation",
-        ):
+        for strategy in ("document/sentence-removal", "query/augmentation"):
             DEFAULT_REGISTRY.get(engine, strategy)
         ref = weakref.ref(engine)
         del engine

@@ -19,7 +19,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.document_cf import CounterfactualDocumentExplainer
-from repro.core.greedy import GreedyDocumentExplainer
 from repro.core.importance import sentence_importance_scores
 from repro.core.instance_cf import CosineSampledExplainer, Doc2VecNearestExplainer
 from repro.core.query_cf import CounterfactualQueryExplainer
@@ -175,7 +174,7 @@ def reference_document_cf(
 
 
 def reference_greedy(ranker, query, doc_id, k) -> ExplanationSet:
-    """The pre-kernel ``GreedyDocumentExplainer.explain`` grow/prune loop."""
+    """The pre-kernel greedy sentence-removal grow/prune loop."""
     pool = candidate_pool(ranker, query, k)
     session = ranker.scoring_session(query, pool)
     original_rank = session.baseline().rank_of(doc_id)
@@ -476,7 +475,9 @@ class TestExhaustiveEquivalence:
     def test_greedy(self, rankers, name):
         ranker = rankers[name]
         target = candidate_pool(ranker, QUERY, K)[0].doc_id
-        kernel = GreedyDocumentExplainer(ranker).explain(QUERY, target, k=K)
+        kernel = CounterfactualDocumentExplainer(ranker).explain(
+            QUERY, target, k=K, search="greedy"
+        )
         reference = reference_greedy(ranker, QUERY, target, k=K)
         assert kernel.search_strategy == "greedy"
         assert _fingerprint(kernel) == _fingerprint(reference)

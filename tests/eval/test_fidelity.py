@@ -3,7 +3,7 @@
 For any explanation produced by any strategy, re-applying its
 counterfactual edit through the engine (naive re-ranking — no sessions,
 no search kernel) must actually flip the ranking. Parametrized over all
-six explainer strategies; a failure here localises session drift or
+five explainer strategies (plus greedy sentence removal); a failure here localises session drift or
 kernel bookkeeping bugs that per-layer suites cannot see.
 """
 
@@ -20,15 +20,19 @@ from repro.index.inverted import InvertedIndex
 K = 5
 QUERIES = ["covid outbreak", "vaccine trial", "flu season"]
 
-#: Strategies runnable on the shared bm25 engine; features/ltr needs the
-#: LTR engine and is exercised separately below.
+#: (strategy, search) pairs runnable on the shared bm25 engine;
+#: features/ltr needs the LTR engine and is exercised separately below.
 GENERAL_STRATEGIES = (
-    "document/sentence-removal",
-    "document/greedy",
-    "query/augmentation",
-    "instance/doc2vec",
-    "instance/cosine",
+    ("document/sentence-removal", None),
+    ("document/sentence-removal", "greedy"),
+    ("query/augmentation", None),
+    ("instance/doc2vec", None),
+    ("instance/cosine", None),
 )
+GENERAL_IDS = [
+    name if search is None else f"{name}+{search}"
+    for name, search in GENERAL_STRATEGIES
+]
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +52,7 @@ def ltr_engine(covid_documents):
     )
 
 
-def _explanations(engine, strategy):
+def _explanations(engine, strategy, search=None):
     instances = rankable_instances(engine, QUERIES, k=K, per_query=2)
     produced = []
     for instance in instances:
@@ -60,6 +64,7 @@ def _explanations(engine, strategy):
                 k=K,
                 threshold=3,
                 samples=25,
+                search=search,
             )
         ).result
         produced.extend(result.explanations)
@@ -67,19 +72,27 @@ def _explanations(engine, strategy):
 
 
 class TestEngineCheckedFidelity:
-    @pytest.mark.parametrize("strategy", GENERAL_STRATEGIES)
-    def test_reported_flips_are_engine_confirmed(self, bm25_engine, strategy):
-        produced = _explanations(bm25_engine, strategy)
+    @pytest.mark.parametrize(
+        "strategy,search", GENERAL_STRATEGIES, ids=GENERAL_IDS
+    )
+    def test_reported_flips_are_engine_confirmed(
+        self, bm25_engine, strategy, search
+    ):
+        produced = _explanations(bm25_engine, strategy, search)
         assert produced, f"{strategy} produced no explanations to check"
         for explanation in produced:
             check = recheck_explanation(bm25_engine, explanation, k=K)
             assert check.valid, f"{strategy}: {check.detail}"
 
     @pytest.mark.parametrize(
-        "strategy", (*GENERAL_STRATEGIES, "features/ltr")
+        "strategy,search",
+        (*GENERAL_STRATEGIES, ("features/ltr", None)),
+        ids=[*GENERAL_IDS, "features/ltr"],
     )
-    def test_all_six_strategies_on_ltr_engine(self, ltr_engine, strategy):
-        produced = _explanations(ltr_engine, strategy)
+    def test_all_six_strategies_on_ltr_engine(
+        self, ltr_engine, strategy, search
+    ):
+        produced = _explanations(ltr_engine, strategy, search)
         assert produced, f"{strategy} produced no explanations to check"
         for explanation in produced:
             check = recheck_explanation(ltr_engine, explanation, k=K)

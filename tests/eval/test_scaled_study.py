@@ -77,7 +77,7 @@ class TestSpecValidation:
     def test_strategies_default_to_full_registry(self, study_queries):
         spec = StudySpec(queries=study_queries)
         assert "features/ltr" in spec.resolved_strategies()
-        assert len(spec.resolved_strategies()) == 6
+        assert len(spec.resolved_strategies()) == 5
 
 
 class TestGrid:

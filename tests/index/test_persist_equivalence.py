@@ -25,6 +25,7 @@ from tests.index.test_sharded_equivalence import (
     K,
     QUERY,
     STRATEGIES,
+    STRATEGY_IDS,
     _canonical,
 )
 
@@ -101,7 +102,7 @@ class TestRankingEquivalence:
 
 class TestExplainerEquivalence:
     @pytest.mark.parametrize(
-        "strategy,knobs", STRATEGIES, ids=[name for name, _ in STRATEGIES]
+        "strategy,knobs", STRATEGIES, ids=STRATEGY_IDS
     )
     def test_strategy_byte_identical(self, engine_pair, strategy, knobs):
         live, reloaded = engine_pair

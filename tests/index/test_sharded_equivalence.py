@@ -5,7 +5,7 @@ explainer's full ``to_dict()`` payload are **byte-identical** between a
 plain single index (``shards=None``), a one-shard sharded index
 (``shards=1``), and a four-shard sharded index (``shards=4``) over the
 same corpus — across the BM25 / TF-IDF / LM ranker families and the LTR
-feature ranker, for all six explanation strategies.
+feature ranker, for all five explanation strategies.
 """
 
 import json
@@ -26,15 +26,19 @@ from tests.core.test_search_equivalence import _corpus
 QUERY = "covid outbreak hospital"
 K = 5
 
-#: The six explanation strategies, with knobs exercising each one's
+#: The explanation strategies, with knobs exercising each one's
 #: non-default paths.
 STRATEGIES = (
     ("document/sentence-removal", {"n": 2}),
-    ("document/greedy", {}),
+    ("document/sentence-removal", {"search": "greedy"}),
     ("query/augmentation", {"n": 2, "threshold": 2}),
     ("instance/doc2vec", {"n": 2}),
     ("instance/cosine", {"n": 2, "samples": 30}),
 )
+STRATEGY_IDS = [
+    f"{name}+{knobs['search']}" if "search" in knobs else name
+    for name, knobs in STRATEGIES
+]
 
 LEXICAL_RANKERS = ("bm25", "tfidf", "lm")
 
@@ -79,7 +83,7 @@ class TestRankingEquivalence:
 
 class TestExplainerEquivalence:
     @pytest.mark.parametrize(
-        "strategy,knobs", STRATEGIES, ids=[name for name, _ in STRATEGIES]
+        "strategy,knobs", STRATEGIES, ids=STRATEGY_IDS
     )
     def test_strategy_byte_identical(self, engine_pair, strategy, knobs):
         plain, one, four = engine_pair
@@ -91,7 +95,7 @@ class TestExplainerEquivalence:
 
 
 class TestLtrEquivalence:
-    """The sixth strategy (features/ltr) over plain vs. sharded corpora."""
+    """features/ltr over plain vs. sharded corpora."""
 
     @pytest.fixture(scope="class")
     def ltr_setup(self):

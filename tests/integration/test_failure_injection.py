@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.document_cf import CounterfactualDocumentExplainer
 from repro.core.engine import CredenceEngine, EngineConfig
+from repro.core.explain import ExplainRequest
 from repro.errors import IndexFormatError, IndexStateError, RankingError, ReproError
 from repro.index.document import Document
 from repro.index.inverted import InvertedIndex
@@ -29,7 +30,7 @@ class TestDegenerateCorpora:
         ranking = engine.rank("covid", k=10)
         assert len(ranking) == 1
         # No k+1 slot exists: a counterfactual can never be valid.
-        result = engine.explain_document("covid", "only", n=1, k=1)
+        result = engine.explain(ExplainRequest("covid", "only", n=1, k=1))
         assert len(result) == 0
 
     def test_empty_body_documents_indexable(self):
@@ -126,7 +127,9 @@ class TestMisbehavingRankers:
 
     def test_library_errors_are_catchable_at_base(self, bm25_engine):
         with pytest.raises(ReproError):
-            bm25_engine.explain_document("covid outbreak", "no-such-doc", n=1, k=10)
+            bm25_engine.explain(
+                ExplainRequest("covid outbreak", "no-such-doc", n=1, k=10)
+            )
 
 
 class TestApiRobustness:
@@ -155,7 +158,7 @@ class TestApiRobustness:
 
     def test_explaining_non_relevant_doc_maps_to_400(self, client):
         response = client.post(
-            "/explanations/document",
+            "/explanations",
             {"query": "covid outbreak", "doc_id": "markets-0002", "n": 1, "k": 10},
         )
         assert response.status == 400

@@ -111,9 +111,9 @@ class TestDocumentFamily:
             ExplainRequest(
                 query=QUERY,
                 doc_id=_doc_for(engine),
-                strategy="document/greedy",
                 n=2,
                 k=5,
+                search="greedy",
             ),
         )
 

@@ -17,7 +17,6 @@ import itertools
 import pytest
 
 from repro.core.document_cf import CounterfactualDocumentExplainer
-from repro.core.greedy import GreedyDocumentExplainer
 from repro.core.query_cf import CounterfactualQueryExplainer
 from repro.index.document import Document
 from repro.index.inverted import InvertedIndex
@@ -283,8 +282,10 @@ class TestExplainerParity:
     def test_greedy(self, rankers, name):
         ranker = rankers[name]
         target = _pool(ranker)[0].doc_id
-        fast = GreedyDocumentExplainer(ranker)
-        naive = GreedyDocumentExplainer(OpaqueRanker(ranker))
+        fast = CounterfactualDocumentExplainer(ranker, search="greedy")
+        naive = CounterfactualDocumentExplainer(
+            OpaqueRanker(ranker), search="greedy"
+        )
         assert _result_fingerprint(
             fast.explain(QUERY, target, k=K)
         ) == _result_fingerprint(naive.explain(QUERY, target, k=K))

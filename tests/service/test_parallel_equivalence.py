@@ -61,7 +61,7 @@ def _workload(doc_ids: list[str]) -> list[ExplainRequest]:
             )
         )
         requests.append(
-            ExplainRequest(DEMO_QUERY, doc_id, strategy="document/greedy", k=10)
+            ExplainRequest(DEMO_QUERY, doc_id, k=10, search="greedy")
         )
     # repeats: the parallel path answers these from the result store
     return requests + requests[: len(requests) // 2]
@@ -193,6 +193,8 @@ def _tier_sweep() -> list[ExplainRequest]:
     """
     requests = []
     for strategy, knobs in STRATEGIES:
+        if "search" in knobs:
+            continue  # already in the family's own search sweep
         searches = (
             SEARCH_STRATEGIES
             if strategy.startswith(("document/", "query/"))
@@ -275,7 +277,7 @@ class TestProcessTierEquivalence:
 
         target = build().rank(QUERY, K).doc_ids[0]
         requests = [
-            ExplainRequest(QUERY, target, strategy="document/greedy", k=K),
+            ExplainRequest(QUERY, target, k=K, search="greedy"),
             ExplainRequest(QUERY, target, strategy="query/augmentation", n=2, k=K),
         ]
         sequential = build().explain_batch(requests)

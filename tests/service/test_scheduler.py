@@ -67,7 +67,7 @@ def service(engine) -> ExplanationService:
 
 class TestJobLifecycle:
     def test_submit_progress_result(self, service):
-        job = service.submit([_request(), _request(strategy="document/greedy")])
+        job = service.submit([_request(), _request(search="greedy")])
         assert job.wait(timeout=30)
         assert job.status is JobStatus.DONE
         assert job.items_done == 2

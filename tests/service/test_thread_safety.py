@@ -26,9 +26,7 @@ ROUNDS = 5
 def _requests() -> list[ExplainRequest]:
     return [
         ExplainRequest("covid outbreak", "d5", k=5),
-        ExplainRequest(
-            "covid outbreak", "d5", strategy="document/greedy", k=5
-        ),
+        ExplainRequest("covid outbreak", "d5", k=5, search="greedy"),
         ExplainRequest(
             "covid outbreak",
             "d5",
@@ -57,10 +55,9 @@ class TestConcurrentExplain:
     def test_hammer_explain_from_many_threads(self, engine, tiny_docs):
         """The headline regression: concurrent explain() with the score
         cache enabled must neither crash nor diverge."""
-        reference = {
-            request.strategy: _canonical(engine.explain(request))
-            for request in _requests()
-        }
+        reference = [
+            _canonical(engine.explain(request)) for request in _requests()
+        ]
         errors: list[BaseException] = []
         mismatches: list[str] = []
         barrier = threading.Barrier(THREADS, timeout=10)
@@ -69,9 +66,9 @@ class TestConcurrentExplain:
             try:
                 barrier.wait()  # maximise interleaving
                 for _ in range(ROUNDS):
-                    for request in _requests():
+                    for request, expected in zip(_requests(), reference):
                         got = _canonical(engine.explain(request))
-                        if got != reference[request.strategy]:
+                        if got != expected:
                             mismatches.append(request.strategy)
             except BaseException as error:  # noqa: BLE001 - collect, then fail
                 errors.append(error)
@@ -129,13 +126,10 @@ class TestConcurrentExplain:
         def _factory(engine_):
             built.append(object())
 
-            class _Explainer:
-                strategy = "test/strategy"
+            def explain(request):
+                raise NotImplementedError
 
-                def explain(self, request):
-                    raise NotImplementedError
-
-            return _Explainer()
+            return explain
 
         barrier = threading.Barrier(THREADS, timeout=10)
         instances = []

@@ -34,50 +34,8 @@ class TestRank:
         assert "d5" in out  # the doc mentioning covid twice ranks first
 
 
-class TestExplainCommands:
-    def test_explain_document(self, capsys):
-        code = main(
-            [
-                "explain-document",
-                "--query", DEMO_QUERY,
-                "--doc", FAKE_NEWS_DOC_ID,
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "removing sentence(s)" in out
-
-    def test_explain_query(self, capsys):
-        code = main(
-            [
-                "explain-query",
-                "--query", DEMO_QUERY,
-                "--doc", FAKE_NEWS_DOC_ID,
-                "--n", "2",
-                "--threshold", "2",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert DEMO_QUERY in out
-
-    def test_explain_instance_cosine(self, capsys):
-        code = main(
-            [
-                "explain-instance",
-                "--query", DEMO_QUERY,
-                "--doc", FAKE_NEWS_DOC_ID,
-                "--method", "cosine_sampled",
-                "--samples", "30",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "%" in out
-
-
 class TestUnifiedExplain:
-    def test_explain_document_strategy(self, capsys):
+    def test_sentence_removal_strategy(self, capsys):
         code = main(
             [
                 "explain",
@@ -90,7 +48,7 @@ class TestUnifiedExplain:
         assert code == 0
         assert "removing sentence(s)" in out
 
-    def test_explain_query_strategy(self, capsys):
+    def test_query_augmentation_strategy(self, capsys):
         code = main(
             [
                 "explain",
@@ -105,19 +63,34 @@ class TestUnifiedExplain:
         assert code == 0
         assert DEMO_QUERY in out
 
-    def test_explain_instance_alias_strategy(self, capsys):
+    def test_instance_cosine_strategy(self, capsys):
         code = main(
             [
                 "explain",
                 "--query", DEMO_QUERY,
                 "--doc", FAKE_NEWS_DOC_ID,
-                "--strategy", "cosine_sampled",
+                "--strategy", "instance/cosine",
                 "--samples", "30",
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "%" in out
+
+    def test_instance_doc2vec_strategy(self, capsys):
+        code = main(
+            [
+                "explain",
+                "--query", DEMO_QUERY,
+                "--doc", FAKE_NEWS_DOC_ID,
+                "--strategy", "instance/doc2vec",
+                "--json",
+            ]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["strategy"] == "instance/doc2vec"
+        assert payload["explanations"]
 
     def test_explain_json_envelope(self, capsys):
         code = main(
@@ -136,16 +109,21 @@ class TestUnifiedExplain:
         assert payload["elapsed_seconds"] >= 0.0
         assert payload["explanations"]
 
-    def test_unknown_strategy_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
+    @pytest.mark.parametrize(
+        "strategy", ["magic/crystal", "doc2vec_nearest", "cosine_sampled"]
+    )
+    def test_unknown_strategy_rejected_by_parser(self, capsys, strategy):
+        with pytest.raises(SystemExit) as excinfo:
             main(
                 [
                     "explain",
                     "--query", DEMO_QUERY,
                     "--doc", FAKE_NEWS_DOC_ID,
-                    "--strategy", "magic/crystal",
+                    "--strategy", strategy,
                 ]
             )
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_unavailable_strategy_clean_error(self, capsys):
         code = main(
@@ -275,9 +253,14 @@ class TestIndexCommand:
 
 
 class TestParser:
-    def test_unknown_command_rejected(self):
+    @pytest.mark.parametrize(
+        "command",
+        # the three subcommands removed in favour of `explain --strategy`
+        ["teleport", *(f"explain-{v}" for v in ("document", "query", "instance"))],
+    )
+    def test_unknown_command_rejected(self, command):
         with pytest.raises(SystemExit):
-            main(["teleport"])
+            main([command, "--query", "q", "--doc", "d"])
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
@@ -302,6 +285,23 @@ class TestSearchOptions:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["search_strategy"] == "beam"
+        assert payload["explanations"]
+
+    def test_greedy_search_on_sentence_removal(self, capsys):
+        code = main(
+            [
+                "explain",
+                "--query", DEMO_QUERY,
+                "--doc", FAKE_NEWS_DOC_ID,
+                "--strategy", "document/sentence-removal",
+                "--search", "greedy",
+                "--json",
+            ]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["strategy"] == "document/sentence-removal"
+        assert payload["search_strategy"] == "greedy"
         assert payload["explanations"]
 
     def test_anytime_with_deadline(self, capsys):

@@ -1,14 +1,20 @@
 """Doc-sync guard: the documentation cannot silently rot.
 
-Three contracts, enforced so the docs added with the sharded backend
-stay true as the public surface evolves:
+Four contracts, enforced so the docs stay true as the public surface
+evolves:
 
 1. every public symbol exported from ``repro/__init__.py`` has a
    docstring (callables/classes) **and** is mentioned somewhere in the
    documentation set;
 2. the documentation set itself exists and is substantive (README,
    architecture guide, cookbook, API hub and its per-area pages);
-3. every relative link between markdown documents resolves.
+3. every relative link between markdown documents resolves;
+4. the docs name no surface that does not exist: every REST route in
+   ``docs/api/rest.md`` is registered, every ``repro <subcommand>`` in
+   ``docs/api/cli.md`` is in the parser, and every ``family/name``
+   strategy in the documentation set is registered (the migration
+   table in ``docs/API.md`` names removed surface on purpose and is
+   exempt).
 """
 
 import inspect
@@ -18,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.registry import DEFAULT_REGISTRY
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -194,3 +201,76 @@ def test_examples_referenced_by_cookbook_exist():
         f"cookbook does not cover: {sorted(existing - referenced)}"
     )
     assert not missing, f"cookbook cites missing scripts: {sorted(missing)}"
+
+
+# -- contract 4: no doc names surface that does not exist --------------------
+
+#: The ``docs/API.md`` section that maps removed entry points to their
+#: replacements; it names the removed surface on purpose.
+MIGRATION_HEADING = "## Migrating from the per-family surface"
+
+
+def _without_migration_table(text: str) -> str:
+    start = text.find(MIGRATION_HEADING)
+    if start < 0:
+        return text
+    end = text.find("\n## ", start + len(MIGRATION_HEADING))
+    return text[:start] + (text[end:] if end >= 0 else "")
+
+
+_DOC_ROUTE = re.compile(r"`(GET|POST|DELETE) (/[^`\s]*)`")
+
+
+def test_documented_rest_routes_exist(tiny_docs):
+    from repro.api.app import build_router
+    from repro.core.engine import CredenceEngine, EngineConfig
+
+    router = build_router(
+        CredenceEngine(tiny_docs, EngineConfig(ranker="bm25", seed=5))
+    )
+    text = (REPO_ROOT / "docs/api/rest.md").read_text(encoding="utf-8")
+    documented = set(_DOC_ROUTE.findall(text))
+    assert len(documented) >= 15, "the route table moved; update the regex"
+    missing = []
+    for method, path in sorted(documented):
+        concrete = re.sub(r"\{[^}]+\}", "x", path.split("?")[0])
+        if not any(
+            route.method == method and route.pattern.match(concrete)
+            for route in router._routes
+        ):
+            missing.append(f"{method} {path}")
+    assert not missing, f"docs/api/rest.md documents unrouted paths: {missing}"
+
+
+_DOC_COMMAND = re.compile(r"(?:python -m repro\.cli|(?<![\w.`/-])repro) ([a-z][\w-]*)")
+
+
+def test_documented_cli_subcommands_exist():
+    import argparse
+
+    from repro.cli import build_parser
+
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    text = (REPO_ROOT / "docs/api/cli.md").read_text(encoding="utf-8")
+    documented = set(_DOC_COMMAND.findall(text))
+    assert documented, "no `repro <subcommand>` found; update the regex"
+    missing = sorted(documented - set(subparsers.choices))
+    assert not missing, f"docs/api/cli.md documents unknown subcommands: {missing}"
+
+
+_FAMILIES = sorted({name.split("/")[0] for name in DEFAULT_REGISTRY.names()})
+_DOC_STRATEGY = re.compile(
+    rf"(?<![\w/.-])(?:{'|'.join(_FAMILIES)})/[a-z][\w-]*"
+)
+
+
+def test_documented_strategies_are_registered():
+    text = _without_migration_table(_doc_corpus())
+    documented = set(_DOC_STRATEGY.findall(text))
+    assert "document/sentence-removal" in documented
+    unknown = sorted(documented - set(DEFAULT_REGISTRY.names()))
+    assert not unknown, f"the docs name unregistered strategies: {unknown}"

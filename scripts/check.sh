@@ -11,6 +11,10 @@ echo "== tier-1: full test suite =="
 python -m pytest -x -q
 
 echo
+echo "== analyzer: memoised path vs unmemoised oracle =="
+python -m pytest -q tests/text
+
+echo
 echo "== scoring-session equivalence (session == naive re-ranking) =="
 python -m pytest -q tests/ranking/test_session_equivalence.py
 

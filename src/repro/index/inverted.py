@@ -91,9 +91,8 @@ class InvertedIndex:
         """Index ``document`` from an already-analyzed term sequence.
 
         ``terms`` must be exactly ``self.analyzer.analyze(document.body)``;
-        callers that analyze up front (bulk ingestion, the sharded
-        backend's shared analysis memo) use this to avoid re-analyzing
-        inside the index.
+        callers that analyze up front (bulk ingestion, the process-tier
+        analysis step) use this to avoid re-analyzing inside the index.
         """
         positions: dict[str, list[int]] = {}
         for position, term in enumerate(terms):
@@ -157,13 +156,12 @@ class InvertedIndex:
         Interface parity with
         :meth:`~repro.index.sharding.ShardedIndex.add_documents`: a
         single-shard index builds its postings serially (``workers``
-        alone cannot help — there is only one shard), reusing a
-        per-ingest :class:`~repro.index.sharding.AnalysisMemo` so
-        repeated surface forms are analyzed once. ``executor="process"``
-        offloads the analysis step to ``workers`` worker processes
-        (byte-identical output, computed off the GIL). Duplicate ids
-        (against the index or within the batch) raise ``ValueError``
-        before anything mutates.
+        alone cannot help — there is only one shard); the analyzer's
+        memo analyses each repeated surface form once.
+        ``executor="process"`` offloads the analysis step to ``workers``
+        worker processes (byte-identical output, computed off the GIL).
+        Duplicate ids (against the index or within the batch) raise
+        ``ValueError`` before anything mutates.
         """
         from repro.index.sharding import AnalysisMemo, analyze_in_processes
 

@@ -19,12 +19,11 @@ views:
 
 Bulk ingestion (:meth:`ShardedIndex.add_documents`) partitions the batch
 by shard and ingests the partitions on a transient per-call thread
-pool, sharing one per-ingest :class:`AnalysisMemo` so each distinct
-surface form is analyzed once.
-On CPython with the GIL the win is architectural (the memo plus batched
-shard construction); on free-threaded builds the per-shard workers also
-scale with cores. Ingestion is all-or-nothing: a failing batch is rolled
-back before the error propagates.
+pool; the shared analyzer's memo analyses each distinct surface form
+once. On CPython with the GIL the win is architectural (the memo plus
+batched shard construction); on free-threaded builds the per-shard
+workers also scale with cores. Ingestion is all-or-nothing: a failing
+batch is rolled back before the error propagates.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from repro.index.inverted import IndexSnapshot, InvertedIndex
 from repro.index.postings import Posting, PostingsList
 from repro.index.stats import CollectionStats
 from repro.text.analyzer import Analyzer, default_analyzer
-from repro.text.tokenizer import iter_tokens
 from repro.utils.validation import require_positive
 
 #: Router names accepted by :func:`build_router` and the v2 index format.
@@ -230,42 +228,21 @@ class ShardedSnapshot:
     total_terms: int
 
 
-_ABSENT = object()
-
-
 class AnalysisMemo:
-    """Per-ingest memo of raw token text → analyzed term (or None).
+    """The bulk-ingest analysis step: ``analyzer.analyze`` per body.
 
-    :meth:`Analyzer.analyze_token` is deterministic and per-token
-    independent, so caching it by surface form produces byte-identical
-    term sequences while skipping the normalize/stopword/stem pipeline
-    for every repeated token — the dominant cost of bulk ingestion.
-    Shared across ingest workers; concurrent recomputation of the same
-    token is benign (both writers store the same value).
+    The analyzer memoises token analysis per surface form itself, so
+    every ingest path shares one memo with the rankers and explainers;
+    this class only names the ingest step (profilers and fault-injection
+    tests hook :meth:`analyze`).
     """
 
     def __init__(self, analyzer: Analyzer):
         self.analyzer = analyzer
-        self._memo: dict[str, str | None] = {}
 
     def analyze(self, text: str) -> list[str]:
-        """``analyzer.analyze(text)``, memoized per distinct token."""
-        memo = self._memo
-        analyze_token = self.analyzer.analyze_token
-        terms: list[str] = []
-        append = terms.append
-        for token in iter_tokens(text):
-            raw = token.text
-            term = memo.get(raw, _ABSENT)
-            if term is _ABSENT:
-                term = analyze_token(raw)
-                memo[raw] = term
-            if term is not None:
-                append(term)
-        return terms
-
-    def __len__(self) -> int:
-        return len(self._memo)
+        """``analyzer.analyze(text)``."""
+        return self.analyzer.analyze(text)
 
 
 class MergedPostings:
@@ -316,8 +293,8 @@ def analyze_in_processes(analyzer, documents, workers: int | None) -> list:
 
     The GIL-escape path for bulk ingest: bodies are split into
     contiguous chunks (one per worker) and each worker runs the same
-    memoized :class:`AnalysisMemo` pipeline over an analyzer rebuilt
-    from the identical configuration — so the output is byte-identical
+    memoised analyzer pipeline over an analyzer rebuilt from the
+    identical configuration — so the output is byte-identical
     to local analysis, only computed on other cores.
     """
     # Lazy, call-scoped import: the process pool lives in the service
@@ -540,8 +517,8 @@ class ShardedIndex:
 
         The batch is partitioned by the router, each shard's partition is
         ingested by one task on a transient thread pool (``workers``
-        caps it; None/1 ingests serially), and all tasks share one
-        :class:`AnalysisMemo`. Merged statistics and the global insertion
+        caps it; None/1 ingests serially), and all tasks share the
+        analyzer's memo. Merged statistics and the global insertion
         order are replayed in input order afterwards, so the result is
         byte-identical to adding the documents one at a time.
 

@@ -14,8 +14,16 @@ from dataclasses import dataclass, field
 
 from repro.text.stemmer import PorterStemmer
 from repro.text.stopwords import ENGLISH_STOPWORDS
-from repro.text.tokenizer import Token, iter_tokens
+from repro.text.tokenizer import Token, iter_tokens, token_texts
 from repro.text.unicode import normalize_text
+
+#: Distinct surface forms an analyzer remembers before it starts over.
+#: The 10k-document Zipfian corpus needs about 32k entries (~4.4 MB), the
+#: demo corpus a few hundred. Clearing when full, instead of evicting
+#: entry by entry, keeps a lookup one dict probe.
+_MEMO_LIMIT = 1 << 17
+
+_ABSENT = object()
 
 
 @dataclass(frozen=True)
@@ -34,7 +42,7 @@ class AnalyzedToken:
         return self.token.end
 
 
-@dataclass
+@dataclass(frozen=True)
 class Analyzer:
     """Configurable text-analysis pipeline.
 
@@ -42,6 +50,14 @@ class Analyzer:
     stopwords, Porter stemming. Disable stemming/stopwords for components
     that need surface forms (e.g. the query-augmentation explainer shows
     users real document terms, not stems).
+
+    Token analysis is context-free, so each analyzer memoises it per
+    distinct surface form: every caller sharing the instance (index,
+    rankers, sessions, explainers) pays the normalise/stopword/stem
+    pipeline once per form. The analyzer is frozen, so the memo can never
+    go stale, and two analyzers compare equal when their configurations
+    do; the memo and the stemmer take no part in equality, ``repr`` or
+    :meth:`to_config`.
     """
 
     lowercase: bool = True
@@ -49,16 +65,15 @@ class Analyzer:
     stem: bool = True
     stopwords: frozenset[str] = ENGLISH_STOPWORDS
     min_token_length: int = 1
-    _stemmer: PorterStemmer = field(default_factory=PorterStemmer, repr=False)
+    _stemmer: PorterStemmer = field(
+        default_factory=PorterStemmer, repr=False, compare=False
+    )
+    _memo: dict[str, str | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def analyze_token(self, text: str) -> str | None:
-        """Analyse one raw token; None if the pipeline filters it out.
-
-        Token analysis is independent of surrounding text, which is what
-        lets bulk ingestion memoize this call per distinct surface form
-        (:class:`~repro.index.sharding.AnalysisMemo`) with byte-identical
-        results.
-        """
+    def _pipeline(self, text: str) -> str | None:
+        """The unmemoised per-token pipeline behind :meth:`analyze_token`."""
         term = normalize_text(text, casefold=self.lowercase)
         if any(ch.isspace() for ch in term):
             # NFKC can expand a single word character into a sequence
@@ -72,6 +87,17 @@ class Analyzer:
         if self.stem:
             term = self._stemmer.stem(term)
         return term or None
+
+    def analyze_token(self, text: str) -> str | None:
+        """Analyse one raw token; None if the pipeline filters it out."""
+        memo = self._memo
+        term = memo.get(text, _ABSENT)
+        if term is _ABSENT:
+            term = self._pipeline(text)
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            memo[text] = term
+        return term
 
     def analyze_tokens(self, text: str) -> list[AnalyzedToken]:
         """Analyse ``text``, keeping each term's source token and offsets."""
@@ -88,7 +114,15 @@ class Analyzer:
         >>> Analyzer().analyze("The outbreaks were spreading!")
         ['outbreak', 'spread']
         """
-        return [analyzed.term for analyzed in self.analyze_tokens(text)]
+        lookup = self._memo.get
+        terms: list[str] = []
+        for raw in token_texts(text):
+            term = lookup(raw, _ABSENT)
+            if term is _ABSENT:
+                term = self.analyze_token(raw)
+            if term is not None:
+                terms.append(term)
+        return terms
 
     def analyze_unique(self, text: str) -> set[str]:
         """Analyse ``text`` and return the set of distinct terms."""
@@ -104,7 +138,7 @@ class Analyzer:
     #: Fields excluded from :meth:`to_config`: runtime-only state and the
     #: stopword set (persisting the full list would bloat every index
     #: file; deployments customising stopwords persist them separately).
-    _NON_CONFIG_FIELDS = ("stopwords", "_stemmer")
+    _NON_CONFIG_FIELDS = ("stopwords", "_stemmer", "_memo")
 
     def to_config(self) -> dict:
         """This analyzer's persistable configuration.

@@ -52,5 +52,5 @@ def tokenize(text: str) -> list[Token]:
 
 
 def token_texts(text: str) -> list[str]:
-    """Tokenise and return surface strings only."""
-    return [token.text for token in iter_tokens(text)]
+    """Tokenise and return surface strings only (no :class:`Token` objects)."""
+    return _TOKEN_RE.findall(text)

@@ -129,7 +129,11 @@ class TestReplicaIndex:
             index.add(Document("doc-new", "late breaking covid report."))
             save_v3(index, path)
             deadline = time.monotonic() + 5.0
-            while replica.generation < 2 and time.monotonic() < deadline:
+            # The watcher swaps the generation in before it calls
+            # on_refresh, so wait for the callback as well.
+            while (
+                replica.generation < 2 or not refreshed
+            ) and time.monotonic() < deadline:
                 time.sleep(0.02)
             assert replica.generation == 2
             assert refreshed == [2]

@@ -1,5 +1,9 @@
 """Tests for the shared analyzer pipeline."""
 
+import dataclasses
+
+import pytest
+
 from repro.text.analyzer import Analyzer, default_analyzer, surface_analyzer
 
 
@@ -64,3 +68,32 @@ class TestConfigurations:
             analyzer.analyze("The COVID outbreaks are spreading everywhere.")
         )
         assert query_terms <= doc_terms
+
+
+class TestIdentity:
+    def test_equal_configs_compare_equal(self):
+        first, second = Analyzer(), default_analyzer()
+        second.analyze("a warm memo and a cold one")
+        assert first.to_config() == second.to_config()
+        assert first == second
+        assert hash(first) == hash(second)
+        assert Analyzer(stem=False) != first
+        assert Analyzer.from_config(surface_analyzer().to_config()) == (
+            surface_analyzer()
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        analyzer = default_analyzer()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            analyzer.stem = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            analyzer._memo = {}
+
+    def test_memo_is_not_in_repr_or_config(self):
+        analyzer = default_analyzer()
+        analyzer.analyze("outbreaks")
+        assert "_memo" not in repr(analyzer)
+        assert "outbreak" not in repr(analyzer)
+        assert set(analyzer.to_config()) == {
+            "lowercase", "remove_stopwords", "stem", "min_token_length",
+        }

@@ -4,16 +4,36 @@ The example-based text suites pin behaviour on curated sentences; these
 throw arbitrary unicode (hypothesis when installed, seeded random
 otherwise) at the pipeline and assert the structural invariants the
 index and the counterfactual explainers rely on: spans are exact and
-ordered, token analysis is context-free (the memoized-ingest contract),
+ordered, token analysis is context-free (the analyzer memo's contract),
 and analysis distributes over whitespace concatenation.
 """
 
-from property_support import given, text
+import random
+
+from property_support import given, integers, text
 from repro.text.analyzer import default_analyzer, surface_analyzer
 from repro.text.tokenizer import token_texts, tokenize
 
 ANALYZER = default_analyzer()
 SURFACE = surface_analyzer()
+
+#: Word characters whose NFKC form differs from, and is mostly longer
+#: than, the character itself; two expand to text with a space inside
+#: (U+037A → space + combining mark, U+FDFA → a four-word Arabic phrase),
+#: so generated text exercises the whitespace-stripping branch.
+NFKC_EXPANDING = "\u037a\ufb01\u2474\u2163\u00bd\ufdfa\ufb00\u01c4\u2460\u00b2"
+
+
+def with_nfkc_expanding(sample: str, seed: int) -> str:
+    """``sample`` with a few NFKC-expanding characters spliced in."""
+    rng = random.Random(seed)
+    chars = list(sample)
+    for _ in range(rng.randint(1, 6)):
+        chars.insert(
+            rng.randint(0, len(chars)),
+            rng.choice(NFKC_EXPANDING) + rng.choice(("", " ", "a", "É")),
+        )
+    return "".join(chars)
 
 
 class TestTokenizerProperties:
@@ -55,19 +75,30 @@ class TestAnalyzerProperties:
             assert term
             assert not any(ch.isspace() for ch in term)
 
-    @given(sample=text(max_size=200))
-    def test_token_analysis_is_context_free(self, sample):
-        # Bulk ingestion memoizes analyze_token per surface form
-        # (AnalysisMemo); that is only sound if a token's analysis never
-        # depends on surrounding text.
-        expected = [
-            term
-            for term in (
-                ANALYZER.analyze_token(token.text) for token in tokenize(sample)
-            )
-            if term is not None
-        ]
-        assert ANALYZER.analyze(sample) == expected
+    @given(sample=text(max_size=200), seed=integers(0, 2**32 - 1))
+    def test_token_analysis_is_context_free(self, sample, seed):
+        # The analyzer memoises analyze_token per surface form; that is
+        # only sound if a token's analysis never depends on surrounding
+        # text, so the memoised entry points must equal the unmemoised
+        # pipeline run token by token.
+        sample = with_nfkc_expanding(sample, seed)
+        for analyzer in (ANALYZER, SURFACE):
+            tokens = tokenize(sample)
+            expected = [
+                (term, token)
+                for term, token in (
+                    (analyzer._pipeline(token.text), token) for token in tokens
+                )
+                if term is not None
+            ]
+            assert analyzer.analyze(sample) == [term for term, _ in expected]
+            assert [
+                (analyzed.term, analyzed.token)
+                for analyzed in analyzer.analyze_tokens(sample)
+            ] == expected
+            assert analyzer.analyze_unique(sample) == {
+                term for term, _ in expected
+            }
 
     @given(left=text(max_size=100), right=text(max_size=100))
     def test_analysis_distributes_over_concatenation(self, left, right):
